@@ -122,21 +122,24 @@ impl AcceptanceProfile {
         let top_k = top_k.max(1);
         // Reach probabilities under single-candidate acceptance, used to split the
         // verification budget across levels (levels more likely to be reached get a
-        // proportionally larger share of the tree's nodes).
-        let mut reach = Vec::with_capacity(depth);
-        let mut running = 1.0;
+        // proportionally larger share of the tree's nodes). Level `i` is reached
+        // with probability `prod_{j<i} p_j`; the first pass sums them and the
+        // second recomputes each one in the same order, so no buffer is needed.
+        let mut reach_sum = 0.0;
+        let mut reach = 1.0;
         for i in 0..depth {
-            reach.push(running);
-            running *= self.rate_at(i);
+            reach_sum += reach;
+            reach *= self.rate_at(i);
         }
-        let reach_sum: f64 = reach.iter().sum::<f64>().max(f64::EPSILON);
+        let reach_sum = f64::max(reach_sum, f64::EPSILON);
         // Candidates competing at each level along the accepted path: bounded below
         // by 1 (the chain always exists), above by the tree top-K, and by the level's
         // share of the verification budget.
         let mut total = 1.0;
         let mut running = 1.0;
-        for (i, &reach_i) in reach.iter().enumerate() {
-            let share = tokens_to_verify as f64 * reach_i / reach_sum;
+        let mut reach = 1.0;
+        for i in 0..depth {
+            let share = tokens_to_verify as f64 * reach / reach_sum;
             if share < 1.0 {
                 break;
             }
@@ -148,6 +151,7 @@ impl AcceptanceProfile {
             let p_eff = 1.0 - (1.0 - p).powf(exponent);
             running *= p_eff;
             total += running;
+            reach *= p;
         }
         total
     }
@@ -161,6 +165,71 @@ impl AcceptanceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original buffered formulation of
+    /// [`AcceptanceProfile::expected_accept_len_tree`]: reach probabilities are
+    /// collected into a `Vec` first, then summed and walked. The allocation-free
+    /// version must match it bit for bit.
+    fn reference_accept_len_tree(
+        profile: &AcceptanceProfile,
+        depth: usize,
+        top_k: usize,
+        tokens_to_verify: usize,
+    ) -> f64 {
+        if depth == 0 || tokens_to_verify == 0 {
+            return 1.0;
+        }
+        let top_k = top_k.max(1);
+        let mut reach = Vec::with_capacity(depth);
+        let mut running = 1.0;
+        for i in 0..depth {
+            reach.push(running);
+            running *= profile.rate_at(i);
+        }
+        let reach_sum: f64 = reach.iter().sum::<f64>().max(f64::EPSILON);
+        let mut total = 1.0;
+        let mut running = 1.0;
+        for (i, &reach_i) in reach.iter().enumerate() {
+            let share = tokens_to_verify as f64 * reach_i / reach_sum;
+            if share < 1.0 {
+                break;
+            }
+            let candidates = share.clamp(1.0, top_k as f64);
+            let p = profile.rate_at(i);
+            let exponent = 1.0 + 0.5 * (candidates - 1.0).max(0.0).sqrt();
+            let p_eff = 1.0 - (1.0 - p).powf(exponent);
+            running *= p_eff;
+            total += running;
+        }
+        total
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Random continuous and grid-snapped profiles (the grid hits exact 0
+        /// and 1), depths from 0 to well past the profile length, and verify
+        /// budgets from 0 up, including top-K 0.
+        #[test]
+        fn tree_accept_len_is_bit_identical_to_the_buffered_reference(
+            rates in collection::vec(0.0f64..1.0, 1..20),
+            grid in collection::vec(0u32..=8, 1..20),
+            depth in 0usize..32,
+            top_k in 0usize..12,
+            tokens_to_verify in 0usize..96,
+        ) {
+            let snapped = grid.iter().map(|&g| f64::from(g) / 8.0).collect();
+            for profile in [
+                AcceptanceProfile::from_measured(rates),
+                AcceptanceProfile::from_measured(snapped),
+            ] {
+                let got = profile.expected_accept_len_tree(depth, top_k, tokens_to_verify);
+                let want = reference_accept_len_tree(&profile, depth, top_k, tokens_to_verify);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn linear_accept_len_bounded_by_depth_plus_one() {

@@ -26,7 +26,9 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use tlt_model::paged_kv::{BlockLedger, PoolStats};
 use tlt_obs::{record, EventKind, ObsEvent, Track, NO_REQ};
-use tlt_rollout::{AdaptiveSdManager, DrafterChoice, SdDecision, SdMode, StepObservation};
+use tlt_rollout::{
+    AdaptiveSdManager, DrafterChoice, SdDecision, SdMode, SdStrategy, StepObservation,
+};
 
 /// A request waiting in the admission queue (possibly preempted mid-decode).
 #[derive(Debug, Clone)]
@@ -197,6 +199,10 @@ pub struct Replica {
     /// trace recorder's SD bitstream (`tlt-trace`); it stays empty on replicas
     /// that never speculate.
     sd_accepts: Vec<u8>,
+    /// Expected accept length of every `(drafter, strategy)` pair speculated
+    /// so far. The acceptance profiles in `config` never change after
+    /// construction, so each pair is computed once, on first use.
+    accept_lens: Vec<(DrafterChoice, SdStrategy, f64)>,
     /// Prefill-pool member of a disaggregated cluster: sequences are handed
     /// off for migration when their prefill completes instead of decoding here.
     prefill_only: bool,
@@ -251,6 +257,7 @@ impl Replica {
             dropped_ids: Vec::new(),
             completed: Vec::new(),
             sd_accepts: Vec::new(),
+            accept_lens: Vec::new(),
             prefill_only: false,
             track_override: None,
             handoffs: Vec::new(),
@@ -615,24 +622,18 @@ impl Replica {
         self.start_step(now);
     }
 
-    /// Refreshes the ledger's view of the running batch's private footprint
-    /// (and with it the pool-utilisation peak).
-    fn sync_ledger(&mut self) {
-        let Some(ledger) = self.ledger.as_ref() else {
-            return;
-        };
-        let private = self.private_blocks_in_use(ledger);
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.sync_private(private);
-        }
-    }
-
-    /// Actual private (unshared) blocks the running batch occupies.
-    fn private_blocks_in_use(&self, ledger: &BlockLedger) -> usize {
-        self.running
-            .iter()
-            .map(|e| ledger.blocks_for(e.private_tokens()))
-            .sum()
+    /// One walk over the running batch: its KV footprint in tokens (shared
+    /// prefixes counted once per referencing entry — the per-sequence
+    /// attention context the cost model sees) and the private (unshared)
+    /// blocks it occupies under paged accounting (0 under token accounting).
+    fn batch_footprint(&self) -> (usize, usize) {
+        let ledger = self.ledger.as_ref();
+        self.running.iter().fold((0, 0), |(tokens, blocks), e| {
+            (
+                tokens + e.kv_tokens(),
+                blocks + ledger.map_or(0, |l| l.blocks_for(e.private_tokens())),
+            )
+        })
     }
 
     /// Full-block tokens of `req`'s shared prefix under paged accounting
@@ -672,13 +673,6 @@ impl Replica {
             .sum()
     }
 
-    /// Current KV footprint of the running batch (actual tokens resident,
-    /// counting shared prefixes once per referencing entry — the per-sequence
-    /// attention context the cost model sees).
-    fn kv_in_use(&self) -> usize {
-        self.running.iter().map(RunningEntry::kv_tokens).sum()
-    }
-
     /// Private blocks reserved by the running batch under paged accounting
     /// (worst case under conservative admission, actual footprint under
     /// optimistic admission). Shared groups are charged by the ledger.
@@ -699,7 +693,7 @@ impl Replica {
     /// Actual blocks charged right now: per-entry private footprints (rounded
     /// up to whole blocks) plus the resident shared groups, charged once.
     fn blocks_in_use(&self, ledger: &BlockLedger) -> usize {
-        self.private_blocks_in_use(ledger)
+        self.batch_footprint().1
             + ledger.shared_blocks()
             + ledger.inbound_blocks()
             + ledger.outbound_blocks()
@@ -776,6 +770,9 @@ impl Replica {
     /// tokens must be computed by the prefill step, `cached` tokens are served
     /// from resident prefix blocks and only re-read by attention.
     fn try_admit(&mut self, now: f64) -> (usize, usize) {
+        if self.queue.is_empty() || self.running.len() >= self.config.max_running_requests {
+            return (0, 0);
+        }
         let mut reserved_tokens = if self.ledger.is_none() {
             self.reserved_tokens()
         } else {
@@ -907,7 +904,7 @@ impl Replica {
         // reclaimed before any running work is evicted.
         let (budget, mut kv_in_use) = match &self.ledger {
             Some(ledger) => (ledger.capacity_blocks(), self.blocks_in_use(ledger)),
-            None => (self.kv_budget, self.kv_in_use()),
+            None => (self.kv_budget, self.batch_footprint().0),
         };
         if kv_in_use > budget {
             if let Some(ledger) = self.ledger.as_mut() {
@@ -1013,7 +1010,7 @@ impl Replica {
         debug_assert!(self.step.is_none());
         // Landed migrations join the batch at a step boundary: the inbound
         // reservation converts into a regular private footprint (picked up by
-        // `sync_ledger` below) the moment the entry starts decoding.
+        // the ledger sync below) the moment the entry starts decoding.
         for (entry, reserved) in std::mem::take(&mut self.arriving) {
             if let Some(ledger) = self.ledger.as_mut() {
                 ledger.commit_inbound(reserved);
@@ -1024,9 +1021,13 @@ impl Replica {
             self.preempt_until_fitting(now);
         }
         let (prefill_tokens, cached_tokens) = self.try_admit(now);
-        let (running, kv_in_use) = (self.running.len(), self.kv_in_use());
-        self.metrics.observe_peaks(running, kv_in_use);
-        self.sync_ledger();
+        let (kv_in_use, private_blocks) = self.batch_footprint();
+        self.metrics.observe_peaks(self.running.len(), kv_in_use);
+        if let Some(ledger) = self.ledger.as_mut() {
+            // Refreshes the ledger's view of the batch's private footprint
+            // (and with it the pool-utilisation peak).
+            ledger.sync_private(private_blocks);
+        }
         if prefill_tokens > 0 {
             // The prefill computes only the novel tokens; resident prefix
             // blocks are re-read by attention but never recomputed.
@@ -1047,7 +1048,7 @@ impl Replica {
         }
 
         let batch = self.running.len();
-        let avg_context = (self.kv_in_use() / batch).max(1);
+        let avg_context = (kv_in_use / batch).max(1);
         // The elastic decision sees the *live load*: requests already decoding plus
         // the backlog that will join the batch as soon as capacity frees up.
         let live_load = batch + self.queue.len();
@@ -1081,15 +1082,7 @@ impl Replica {
                 false,
             ),
             SdDecision::Speculative { drafter, strategy } => {
-                let profile = match drafter {
-                    DrafterChoice::Learned => &self.config.acceptance,
-                    DrafterChoice::ModelFree => &self.config.model_free_acceptance,
-                };
-                let accept = profile.expected_accept_len_tree(
-                    strategy.draft_depth,
-                    strategy.top_k,
-                    strategy.tokens_to_verify,
-                );
+                let accept = self.expected_accept_len(drafter, strategy);
                 let t = self.config.cost.speculative_step_time(
                     &self.config.drafter,
                     batch,
@@ -1123,6 +1116,29 @@ impl Replica {
             finish_s: now + duration,
             duration_s: duration,
         });
+    }
+
+    /// Expected accept length of one speculative step, memoised per
+    /// `(drafter, strategy)`.
+    fn expected_accept_len(&mut self, drafter: DrafterChoice, strategy: SdStrategy) -> f64 {
+        if let Some(&(_, _, accept)) = self
+            .accept_lens
+            .iter()
+            .find(|&&(d, s, _)| d == drafter && s == strategy)
+        {
+            return accept;
+        }
+        let profile = match drafter {
+            DrafterChoice::Learned => &self.config.acceptance,
+            DrafterChoice::ModelFree => &self.config.model_free_acceptance,
+        };
+        let accept = profile.expected_accept_len_tree(
+            strategy.draft_depth,
+            strategy.top_k,
+            strategy.tokens_to_verify,
+        );
+        self.accept_lens.push((drafter, strategy, accept));
+        accept
     }
 
     /// Drains the completed-request records accumulated so far.
@@ -1214,7 +1230,7 @@ impl Replica {
                     .filter(|g| g.refs > 0)
                     .map(|g| g.blocks)
                     .sum();
-                self.private_blocks_in_use(ledger)
+                self.batch_footprint().1
                     + referenced
                     + ledger.inbound_blocks()
                     + ledger.outbound_blocks()

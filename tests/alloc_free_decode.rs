@@ -222,3 +222,63 @@ fn steady_state_streamed_trace_decode_allocates_nothing() {
         "streamed trace decode must not allocate after open()"
     );
 }
+
+#[test]
+fn steady_state_adaptive_sd_serving_steps_allocate_almost_nothing() {
+    // A replica step under adaptive SD reuses everything it touches: the
+    // memoised accept length, the running batch, the metrics registry, the
+    // tuner's windows and the event heap. Only the per-replica logs grow, by
+    // amortised doubling — `sd_accepts` by one byte per SD step here (nothing
+    // completes in the measured stretch, so `completed` does not grow).
+    use tlt_serve::{DriveOutcome, ServeRequest, ServeSim};
+
+    const MEASURED_STEPS: u64 = 10_000;
+    let mut config = tlt::replay_deployment(1);
+    config.max_output_tokens = 150_000;
+    let mut sim = ServeSim::new(&config);
+    // Four long requests keep the live load well under the elastic
+    // threshold, so every decode step speculates.
+    for id in 0..4u64 {
+        sim.offer(ServeRequest {
+            id,
+            arrival_s: 0.0,
+            prompt_len: 512,
+            output_len: 150_000,
+            prefix_id: 0,
+            prefix_len: 0,
+        });
+    }
+    let sd_steps = |sim: &ServeSim| sim.replicas()[0].metrics().sd_steps();
+    let mut t = 0.0;
+    let mut drive_to = |sim: &mut ServeSim, steps: u64| {
+        while sd_steps(sim) < steps {
+            t += 1.0;
+            assert_eq!(sim.advance_before(t), DriveOutcome::Completed);
+        }
+    };
+
+    // Warm-up: prefill, the tuner's reward windows and the event heap reach
+    // their steady sizes.
+    drive_to(&mut sim, 1_000);
+    let (sd_before, decode_before) = (sd_steps(&sim), sim.replicas()[0].metrics().decode_steps());
+    let before = allocation_count();
+    drive_to(&mut sim, sd_before + MEASURED_STEPS);
+    let after = allocation_count();
+    let replica = &sim.replicas()[0];
+    let measured = sd_steps(&sim) - sd_before;
+    assert_eq!(
+        replica.metrics().decode_steps() - decode_before,
+        measured,
+        "every measured decode step speculates"
+    );
+    assert_eq!(
+        replica.metrics().completed(),
+        0,
+        "no request completes in the measured stretch"
+    );
+    assert!(
+        after - before <= 32,
+        "{} allocations over {measured} steady-state SD steps",
+        after - before
+    );
+}
